@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -48,28 +49,23 @@ struct Par {
   std::vector<std::uint32_t> irrep_mask;
   std::vector<std::vector<std::uint32_t>> pair_mask;
 
-  // Kernel-engine counter levels at construction; finish() records the
-  // deltas so each cluster's registry shows the real gemm work (and
-  // packing traffic) its transforms triggered, next to the modeled
-  // compute.flops charges.
-  double gemm_calls0 = 0, gemm_flops0 = 0, gemm_pack0 = 0;
-
   // Dynamic-scheduler metrics (see run_claimed_phase): how many tasks
   // were claimed through the counter/steal paths, the counter waits
   // (count + seconds), steals, orphan adoptions after a mid-phase
-  // rank death, and counter re-homings. Baselines at construction so
-  // finish() can report this run's deltas in ParStats.
+  // rank death, and counter re-homings.
   obs::MetricsRegistry::Id id_sched_claims, id_sched_steals,
       id_sched_counter_waits, id_sched_counter_wait_s, id_sched_orphans,
       id_sched_reowns, id_sched_worst, id_sched_fetches, id_sched_hops,
       id_sched_occupancy;
-  double sched_claims0 = 0, sched_steals0 = 0, sched_wait0 = 0,
-         sched_fetches0 = 0, sched_hops0 = 0;
-  // Fault/recovery activity baselines, same delta pattern: finish()
-  // reports how much checkpoint fallback and domain killing this run
-  // itself absorbed.
-  double fallback0 = 0, verify_fail0 = 0, domain_kills0 = 0;
-  std::size_t phases0 = 0;  // cl.phases() size before this run
+
+  // Where this run started, for finish(): the kernel engine's and the
+  // cluster's registries (their deltas are this run's gemm work and
+  // its traffic, scheduler and fault/recovery activity), the cluster's
+  // phase count and modeled clock, and the host clock.
+  obs::MetricsRegistry::Snapshot gemm0, reg0;
+  std::size_t phases0 = 0;
+  double sim0 = 0;
+  WallTimer timer;
 
   Par(const Problem& problem, Cluster& cluster, const ParOptions& options)
       : p(problem), cl(cluster), opt(options),
@@ -77,12 +73,11 @@ struct Par {
                                 std::min(options.tile, problem.n()))),
         nt(t.ntiles()) {
     auto& gm = blas::gemm_metrics();
-    gm.counter("gemm.calls");  // get-or-create so sum() is always valid
+    // Get-or-create: readers sum these by name even before any gemm.
+    gm.counter("gemm.calls");
     gm.counter("gemm.flops");
     gm.counter("gemm.pack_bytes");
-    gemm_calls0 = gm.sum("gemm.calls");
-    gemm_flops0 = gm.sum("gemm.flops");
-    gemm_pack0 = gm.sum("gemm.pack_bytes");
+    gemm0 = gm.snapshot();
     auto& reg = cl.metrics();
     id_sched_claims = reg.counter("sched.claims");
     id_sched_steals = reg.counter("sched.steals");
@@ -94,11 +89,6 @@ struct Par {
     id_sched_fetches = reg.counter("sched.counter_fetches");
     id_sched_hops = reg.counter("sched.tree_hops");
     id_sched_occupancy = reg.gauge("sched.counter_batch_occupancy");
-    sched_claims0 = reg.sum("sched.claims");
-    sched_steals0 = reg.sum("sched.steals");
-    sched_wait0 = reg.sum("sched.counter_wait_s");
-    sched_fetches0 = reg.sum("sched.counter_fetches");
-    sched_hops0 = reg.sum("sched.tree_hops");
     // Session-level overrides: the strategy itself and the batched /
     // tree dequeue granularity (0 keeps the claims-per-rank rule).
     opt.balance = ga::balance_from_env(opt.balance);
@@ -108,10 +98,9 @@ struct Par {
     reg.counter("recovery.fallback_epochs");  // get-or-create
     reg.counter("checkpoint.verify_failures");
     reg.counter("fault.domain_kills");
-    fallback0 = reg.sum("recovery.fallback_epochs");
-    verify_fail0 = reg.sum("checkpoint.verify_failures");
-    domain_kills0 = reg.sum("fault.domain_kills");
+    reg0 = reg.snapshot();
     phases0 = cl.phases().size();
+    sim0 = cl.sim_time();
     irrep_mask.assign(nt, 0);
     for (std::size_t ti = 0; ti < nt; ++ti)
       for (std::size_t o = t.lo(ti); o < t.hi(ti); ++o)
@@ -147,36 +136,77 @@ struct Par {
     return b_active ? b_active->data() : p.b.data();
   }
   std::size_t n() const { return p.n(); }
+
+  /// Write one tile — put, or acc when `accumulate`. Under
+  /// ParOptions::overlap the op is nonblocking: GA consumes `data` at
+  /// issue, so the caller may reuse it at once while the wire time
+  /// hides behind its next iteration; the phase barrier waits for
+  /// whatever is still in flight.
+  void write(RankCtx& ctx, GlobalArray& out, const ga::TileCoord& coord,
+             const double* data, bool accumulate) const {
+    if (opt.overlap) {
+      if (accumulate)
+        out.nbacc(ctx, coord, data);
+      else
+        out.nbput(ctx, coord, data);
+    } else if (accumulate) {
+      out.acc(ctx, coord, data);
+    } else {
+      out.put(ctx, coord, data);
+    }
+  }
 };
 
-/// Double-buffered fetch/compute pipeline. `issue(i, slot)` starts the
-/// nonblocking fetch for iteration i into buffer `slot`, `finish(i,
-/// slot)` completes it, `compute(i, slot)` consumes it. With `overlap`
-/// the fetch of iteration i+1 is in flight while iteration i
-/// multiplies; without, the three steps run back to back, which costs
-/// exactly what the blocking ops always did (an nb issue followed
-/// immediately by its wait is fully exposed). Either way the GA
-/// operations execute in the same order, so fault-injection points and
-/// Real-mode results are identical.
-template <class Issue, class Finish, class Compute>
-void pipelined_fetch(std::size_t n, bool overlap, Issue&& issue,
-                     Finish&& finish, Compute&& compute) {
-  if (!overlap) {
+/// A symmetric index pair an array stores as a triangle.
+using SymPair = std::optional<std::pair<int, int>>;
+
+/// The double-buffered fetch pipeline: fetch tile coord_of(i) of `arr`
+/// for i < n into a slot of `slot` words and pass it to use(i, data)
+/// (data is null in Simulate mode). With ParOptions::overlap the fetch
+/// of tile i+1 is in flight while tile i is used; without, each fetch
+/// is waited on at once, which costs exactly what the blocking ops
+/// always did (an nb issue followed immediately by its wait is fully
+/// exposed). Either way the GA operations execute in the same order,
+/// so fault-injection points and Real-mode results are identical.
+/// When `arr` stores `sym` as a triangle, mirrored tiles land in a
+/// second buffer (`what_mirrored`) and are transposed on arrival.
+template <class CoordOf, class Use>
+void fetch_tiles(const Par& par, RankCtx& ctx, const GlobalArray& arr,
+                 std::size_t n, std::size_t slot, const SymPair& sym,
+                 const char* what, const char* what_mirrored,
+                 CoordOf&& coord_of, Use&& use) {
+  const std::size_t nslots = par.opt.overlap ? 2 : 1;
+  RankBuffer buf(ctx, nslots * slot, what);
+  std::optional<RankBuffer> mirror;
+  if (sym) mirror.emplace(ctx, nslots * slot, what_mirrored);
+  auto at = [&](RankBuffer& b, std::size_t s) {
+    return ctx.real() ? b.data() + s * slot : nullptr;
+  };
+  SymFetch fetch[2];
+  auto issue = [&](std::size_t i, std::size_t s) {
+    const ga::TileCoord c = coord_of(i);
+    if (sym) {
+      fetch[s] = nbget_sym_tile(arr, ctx, c, sym->first, sym->second,
+                                at(buf, s), at(*mirror, s));
+    } else {
+      fetch[s] = SymFetch{};
+      fetch[s].handle = arr.nbget(ctx, c, at(buf, s));
+    }
+  };
+  if (!par.opt.overlap) {
     for (std::size_t i = 0; i < n; ++i) {
       issue(i, 0);
-      finish(i, 0);
-      compute(i, 0);
+      finish_sym_tile(ctx, fetch[0]);
+      use(i, at(buf, 0));
     }
     return;
   }
   if (n == 0) return;
-  std::size_t cur = 0;
-  issue(0, cur);
-  for (std::size_t i = 0; i < n; ++i) {
-    finish(i, cur);
+  issue(0, 0);
+  for (std::size_t i = 0, cur = 0; i < n; ++i, cur = 1 - cur) {
+    finish_sym_tile(ctx, fetch[cur]);
     if (i + 1 < n) issue(i + 1, 1 - cur);
-    compute(i, cur);
-    cur = 1 - cur;
+    use(i, at(buf, cur));
   }
 }
 
@@ -332,350 +362,131 @@ void fill_a(Par& par, GlobalArray& a, std::size_t l_base,
                      ++l)
                   *out++ = par.p.engine.value(i, j, k, l_base + l);
         }
-        // Nonblocking: the put's wire time hides behind the next tile's
-        // integral evaluation (the buffer is consumed eagerly at issue,
-        // so reusing it next iteration is safe); the phase barrier
-        // waits for whatever is still in flight.
-        if (par.opt.overlap)
-          a.nbput(ctx, ti.coord, buf.data());
-        else
-          a.put(ctx, ti.coord, buf.data());
+        // The put hides behind the next tile's integral evaluation.
+        par.write(ctx, a, ti.coord, buf.data(), /*accumulate=*/false);
       });
 }
 
-/// Contraction 1 phase: O1[a,j,k,l] += sum_i A[(ij),k,l] B[a,i].
-/// Works for both the full tensors (unfused) and the l-slice tensors
-/// (fused): A has a triangular (dims 0,1) filter, O1 is unfiltered in
-/// (a,j) and shares A's (k,l) dims.
-void contract1(Par& par, const GlobalArray& a, GlobalArray& o1,
-               const std::string& label) {
-  const std::size_t max_tile =
-      par.t.max_width() * par.t.max_width() * a.tiling(2).max_width() *
-      a.tiling(3).max_width();
-  const std::size_t nslots = par.opt.overlap ? 2 : 1;
-  const auto& m = par.cl.machine();
-  auto cost = [&](std::size_t idx) {
-    // nt gemms over the contracted i range plus nt sym-tile fetches.
-    const auto& ti = o1.tile_by_index(idx);
-    const double el = static_cast<double>(ti.elements);
-    const double n = static_cast<double>(par.n());
-    return 2.0 * el * n / m.flops_per_rank +
-           (8.0 * el / double(ti.len[0]) * n) / m.net_bandwidth_bps +
-           double(par.nt) * m.net_latency_s;
-  };
-  run_claimed_phase(
-      par, label, o1.n_tiles(), tile_owner_of(o1), cost,
-      [&](RankCtx& ctx, std::size_t idx) {
-      const auto& ti = o1.tile_by_index(idx);
-      const std::size_t lkl = ti.len[2] * ti.len[3];
-      RankBuffer out(ctx, ti.elements, "O1 tile");
-      RankBuffer abuf(ctx, nslots * max_tile, "A fetch");
-      RankBuffer tbuf(ctx, nslots * max_tile, "A transpose");
-      auto at = [&](RankBuffer& b, std::size_t s) {
-        return ctx.real() ? b.data() + s * max_tile : nullptr;
-      };
-      const std::size_t ta = ti.coord[0], tj = ti.coord[1];
-      SymFetch fetch[2];
-      pipelined_fetch(
-          par.nt, par.opt.overlap,
-          [&](std::size_t tii, std::size_t s) {
-            ga::TileCoord ac = {tii, tj, ti.coord[2], ti.coord[3]};
-            fetch[s] = nbget_sym_tile(a, ctx, ac, 0, 1, at(abuf, s),
-                                      at(tbuf, s));
-          },
-          [&](std::size_t, std::size_t s) {
-            finish_sym_tile(ctx, fetch[s]);
-          },
-          [&](std::size_t tii, std::size_t s) {
-            const std::size_t leni = par.t.len(tii);
-            ctx.charge_flops(gemm_flops(ti.len[0], ti.len[1] * lkl, leni));
-            if (ctx.real()) {
-              // out[a, (j k l)] += B[a, i] * abuf[i, (j k l)]
-              gemm(Trans::No, Trans::No, ti.len[0], ti.len[1] * lkl, leni,
-                   1.0,
-                   par.b() + par.t.lo(ta) * par.n() + par.t.lo(tii),
-                   par.n(), at(abuf, s), ti.len[1] * lkl, 1.0, out.data(),
-                   ti.len[1] * lkl);
-            }
-          });
-      if (par.opt.overlap)
-        o1.nbput(ctx, ti.coord, out.data());
-      else
-        o1.put(ctx, ti.coord, out.data());
-      });
-}
-
-/// Contraction 2 phase: O2[(ab),k,l] += sum_j O1[a,j,k,l] B[b,j].
-void contract2(Par& par, const GlobalArray& o1, GlobalArray& o2,
-               const std::string& label) {
-  const std::size_t max_tile =
-      par.t.max_width() * par.t.max_width() * o1.tiling(2).max_width() *
-      o1.tiling(3).max_width();
-  const std::size_t nslots = par.opt.overlap ? 2 : 1;
-  const auto& m = par.cl.machine();
-  auto cost = [&](std::size_t idx) {
-    const auto& ti = o2.tile_by_index(idx);
-    const double el = static_cast<double>(ti.elements);
-    const double n = static_cast<double>(par.n());
-    return 2.0 * el * n / m.flops_per_rank +
-           (8.0 * el / double(ti.len[1]) * n) / m.net_bandwidth_bps +
-           double(par.nt) * m.net_latency_s;
-  };
-  run_claimed_phase(
-      par, label, o2.n_tiles(), tile_owner_of(o2), cost,
-      [&](RankCtx& ctx, std::size_t idx) {
-      const auto& ti = o2.tile_by_index(idx);
-      const std::size_t lkl = ti.len[2] * ti.len[3];
-      RankBuffer out(ctx, ti.elements, "O2 tile");
-      RankBuffer o1buf(ctx, nslots * max_tile, "O1 fetch");
-      auto at = [&](std::size_t s) {
-        return ctx.real() ? o1buf.data() + s * max_tile : nullptr;
-      };
-      const std::size_t ta = ti.coord[0], tb = ti.coord[1];
-      GlobalArray::NbHandle fetch[2];
-      pipelined_fetch(
-          par.nt, par.opt.overlap,
-          [&](std::size_t tjj, std::size_t s) {
-            ga::TileCoord oc = {ta, tjj, ti.coord[2], ti.coord[3]};
-            fetch[s] = o1.nbget(ctx, oc, at(s));
-          },
-          [&](std::size_t, std::size_t s) { ctx.wait_transfer(fetch[s]); },
-          [&](std::size_t tjj, std::size_t s) {
-            const std::size_t lenj = par.t.len(tjj);
-            ctx.charge_flops(
-                gemm_flops(ti.len[1], lkl, lenj) * double(ti.len[0]));
-            if (ctx.real()) {
-              for (std::size_t ia = 0; ia < ti.len[0]; ++ia)
-                gemm(Trans::No, Trans::No, ti.len[1], lkl, lenj, 1.0,
-                     par.b() + par.t.lo(tb) * par.n() + par.t.lo(tjj),
-                     par.n(), at(s) + ia * lenj * lkl, lkl, 1.0,
-                     out.data() + ia * ti.len[1] * lkl, lkl);
-            }
-          });
-      if (par.opt.overlap)
-        o2.nbput(ctx, ti.coord, out.data());
-      else
-        o2.put(ctx, ti.coord, out.data());
-      });
-}
-
-/// Contraction 3 phase: O3[(ab),c,l] += sum_k O2[(ab),k,l] B[c,k].
-/// `kl_symmetric` marks the unfused case where O2 stores only k >= l
-/// tiles (transposed fetch needed); the l-slice O2 of Listing 8 has a
-/// full k dimension.
-void contract3(Par& par, const GlobalArray& o2, GlobalArray& o3,
-               bool kl_symmetric, const std::string& label) {
-  const std::size_t max_tile =
-      par.t.max_width() * par.t.max_width() *
-      std::max(o2.tiling(2).max_width(), o2.tiling(3).max_width()) *
-      std::max(o2.tiling(2).max_width(), o2.tiling(3).max_width());
-  const std::size_t nslots = par.opt.overlap ? 2 : 1;
-  const auto& m = par.cl.machine();
-  auto cost = [&](std::size_t idx) {
-    const auto& ti = o3.tile_by_index(idx);
-    const double el = static_cast<double>(ti.elements);
-    const double nk = static_cast<double>(o2.tiling(2).extent());
-    return 2.0 * el * nk / m.flops_per_rank +
-           (8.0 * el / double(ti.len[2]) * nk) / m.net_bandwidth_bps +
-           double(par.nt) * m.net_latency_s;
-  };
-  run_claimed_phase(
-      par, label, o3.n_tiles(), tile_owner_of(o3), cost,
-      [&](RankCtx& ctx, std::size_t idx) {
-      const auto& ti = o3.tile_by_index(idx);
-      RankBuffer out(ctx, ti.elements, "O3 tile");
-      RankBuffer o2buf(ctx, nslots * max_tile, "O2 fetch");
-      RankBuffer tbuf(ctx, nslots * max_tile, "O2 transpose");
-      auto at = [&](RankBuffer& b, std::size_t s) {
-        return ctx.real() ? b.data() + s * max_tile : nullptr;
-      };
-      const std::size_t tc = ti.coord[2];
-      SymFetch fetch[2];
-      pipelined_fetch(
-          par.nt, par.opt.overlap,
-          [&](std::size_t tkk, std::size_t s) {
-            ga::TileCoord oc = {ti.coord[0], ti.coord[1], tkk,
-                                ti.coord[3]};
-            if (kl_symmetric) {
-              fetch[s] = nbget_sym_tile(o2, ctx, oc, 2, 3, at(o2buf, s),
-                                        at(tbuf, s));
-            } else {
-              fetch[s] = SymFetch{};
-              fetch[s].handle = o2.nbget(ctx, oc, at(o2buf, s));
-            }
-          },
-          [&](std::size_t, std::size_t s) {
-            finish_sym_tile(ctx, fetch[s]);
-          },
-          [&](std::size_t tkk, std::size_t s) {
-            const std::size_t lenk = par.t.len(tkk);
-            ctx.charge_flops(gemm_flops(ti.len[2], ti.len[3], lenk) *
-                             double(ti.len[0] * ti.len[1]));
-            if (ctx.real()) {
-              for (std::size_t iab = 0; iab < ti.len[0] * ti.len[1]; ++iab)
-                gemm(Trans::No, Trans::No, ti.len[2], ti.len[3], lenk, 1.0,
-                     par.b() + par.t.lo(tc) * par.n() + par.t.lo(tkk),
-                     par.n(), at(o2buf, s) + iab * lenk * ti.len[3],
-                     ti.len[3], 1.0,
-                     out.data() + iab * ti.len[2] * ti.len[3], ti.len[3]);
-            }
-          });
-      if (par.opt.overlap)
-        o3.nbput(ctx, ti.coord, out.data());
-      else
-        o3.put(ctx, ti.coord, out.data());
-      });
-}
-
-/// Contraction 4 phase: C[(ab),(cd)] += sum_l O3[(ab),c,l] B[d,l].
-/// `l_base` offsets B's l column for slice arrays; accumulate = acc()
-/// (Listing 8 contributes per slice), otherwise put().
-void contract4(Par& par, const GlobalArray& o3, GlobalArray& c,
-               std::size_t l_base, bool accumulate,
-               const std::string& label) {
-  const std::size_t max_tile = par.t.max_width() * par.t.max_width() *
-                               par.t.max_width() * o3.tiling(3).max_width();
-  const std::size_t nslots = par.opt.overlap ? 2 : 1;
-  const auto& m = par.cl.machine();
-  auto cost = [&](std::size_t idx) {
-    const auto& ti = c.tile_by_index(idx);
-    const double el = static_cast<double>(ti.elements);
-    const double nl = static_cast<double>(o3.tiling(3).extent());
-    return 2.0 * el * nl / m.flops_per_rank +
-           (8.0 * el / double(ti.len[3]) * nl) / m.net_bandwidth_bps +
-           double(o3.tiling(3).ntiles()) * m.net_latency_s;
-  };
-  run_claimed_phase(
-      par, label, c.n_tiles(), tile_owner_of(c), cost,
-      [&](RankCtx& ctx, std::size_t idx) {
-      const auto& ti = c.tile_by_index(idx);
-      RankBuffer out(ctx, ti.elements, "C tile");
-      RankBuffer o3buf(ctx, nslots * max_tile, "O3 fetch");
-      auto at = [&](std::size_t s) {
-        return ctx.real() ? o3buf.data() + s * max_tile : nullptr;
-      };
-      const std::size_t td = ti.coord[3];
-      const std::size_t nlt = o3.tiling(3).ntiles();
-      GlobalArray::NbHandle fetch[2];
-      pipelined_fetch(
-          nlt, par.opt.overlap,
-          [&](std::size_t tll, std::size_t s) {
-            ga::TileCoord oc = {ti.coord[0], ti.coord[1], ti.coord[2],
-                                tll};
-            fetch[s] = o3.nbget(ctx, oc, at(s));
-          },
-          [&](std::size_t, std::size_t s) { ctx.wait_transfer(fetch[s]); },
-          [&](std::size_t tll, std::size_t s) {
-            const std::size_t lenl = o3.tiling(3).len(tll);
-            ctx.charge_flops(gemm_flops(ti.len[2], ti.len[3], lenl) *
-                             double(ti.len[0] * ti.len[1]));
-            if (ctx.real()) {
-              for (std::size_t iab = 0; iab < ti.len[0] * ti.len[1]; ++iab)
-                gemm(Trans::No, Trans::Yes, ti.len[2], ti.len[3], lenl,
-                     1.0, at(s) + iab * ti.len[2] * lenl, lenl,
-                     par.b() + par.t.lo(td) * par.n() + l_base +
-                         o3.tiling(3).lo(tll),
-                     par.n(), 1.0,
-                     out.data() + iab * ti.len[2] * ti.len[3], ti.len[3]);
-            }
-          });
-      if (accumulate) {
-        if (par.opt.overlap)
-          c.nbacc(ctx, ti.coord, out.data());
-        else
-          c.acc(ctx, ti.coord, out.data());
-      } else {
-        if (par.opt.overlap)
-          c.nbput(ctx, ti.coord, out.data());
-        else
-          c.put(ctx, ti.coord, out.data());
-      }
-      });
-}
-
-/// Gather the distributed C into a PackedC (Real mode).
-tensor::PackedC gather_c(const Par& par, const GlobalArray& c) {
-  tensor::PackedC out(par.n(), par.p.irreps);
-  for (std::size_t idx = 0; idx < c.n_tiles(); ++idx) {
-    const auto& ti = c.tile_by_index(idx);
-    for (std::size_t a = ti.lo[0]; a < ti.lo[0] + ti.len[0]; ++a)
-      for (std::size_t b = ti.lo[1]; b < ti.lo[1] + ti.len[1]; ++b) {
-        if (b > a) continue;
-        const auto hab = par.p.irreps.pair_irrep(a, b);
-        for (std::size_t cc = ti.lo[2]; cc < ti.lo[2] + ti.len[2]; ++cc)
-          for (std::size_t d = ti.lo[3]; d < ti.lo[3] + ti.len[3]; ++d) {
-            if (d > cc) continue;
-            if (par.p.irreps.pair_irrep(cc, d) != hab) continue;
-            out.add(a, b, cc, d,
-                    c.peek(std::vector<std::size_t>{a, b, cc, d}));
-          }
-      }
+/// The outer l loop of Listings 8 and 10: per slice of width tile_l,
+/// fill A_l[(ij), k, l in slice] and pass it to body(al, llo, llen,
+/// tag), where `tag` marks the slice's phase labels.
+template <class Body>
+void for_each_l_slice(Par& par, Body&& body) {
+  const Tiling lt(par.n(), std::min(par.opt.tile_l, par.n()));
+  for (std::size_t sl = 0; sl < lt.ntiles(); ++sl) {
+    const std::string tag = " [l-slice " + std::to_string(sl) + "]";
+    auto al = std::make_unique<GlobalArray>(
+        par.cl, "A_l",
+        std::vector<Tiling>{par.t, par.t, par.t,
+                            Tiling(lt.len(sl), lt.len(sl))},
+        ga::filter_triangular(0, 1));
+    fill_a(par, *al, lt.lo(sl), "fill A" + tag);
+    body(al, lt.lo(sl), lt.len(sl), tag);
   }
-  return out;
 }
 
-ParResult finish(Par& par, const char* name,
-                 const std::unique_ptr<GlobalArray>& c_ga,
-                 const WallTimer& timer, const runtime::CommStats& before,
-                 double sim_before) {
-  ParResult r;
-  r.stats.schedule = name;
-  // The cluster's metrics registry is the source of truth; totals()
-  // is its aggregate view, so these fields are registry-backed.
-  const auto after = par.cl.totals();
-  r.stats.sim_time = par.cl.sim_time() - sim_before;
-  r.stats.flops = after.flops - before.flops;
-  r.stats.integral_evals = after.integral_evals - before.integral_evals;
-  r.stats.remote_bytes = after.remote_bytes - before.remote_bytes;
-  r.stats.local_bytes = after.local_bytes - before.local_bytes;
-  r.stats.overlapped_seconds =
-      after.overlapped_seconds - before.overlapped_seconds;
-  r.stats.exposed_seconds = after.exposed_seconds - before.exposed_seconds;
-  r.stats.peak_global_bytes = par.cl.global_peak();
-  // Worst per-phase imbalance of *this run* (the cluster-lifetime max
-  // is Cluster::worst_imbalance); also published as the
-  // sched.worst_imbalance gauge next to the scheduler counters.
-  double worst = 1.0;
-  for (std::size_t i = par.phases0; i < par.cl.phases().size(); ++i)
-    worst = std::max(worst, par.cl.phases()[i].imbalance);
-  r.stats.worst_imbalance = worst;
-  r.stats.n_phases = par.cl.phases().size();
-  r.stats.wall_seconds = timer.seconds();
-  // Schedule-level registry entries: which schedule ran on this
-  // cluster, how often, and the modeled time it contributed.
-  auto& reg = par.cl.metrics();
-  const std::string prefix = std::string("schedule.") + name;
-  reg.add(reg.counter(prefix + ".runs"), 0, 1);
-  reg.add(reg.counter(prefix + ".sim_time_s"), 0, r.stats.sim_time);
-  reg.add(reg.counter(prefix + ".host_wall_s"), 0, r.stats.wall_seconds);
-  // Actual kernel-engine activity during this transform (Real mode
-  // drives the blocked gemm; Simulate mode leaves these at zero).
-  auto& gm = blas::gemm_metrics();
-  reg.add(reg.counter("gemm.calls"), 0,
-          gm.sum("gemm.calls") - par.gemm_calls0);
-  reg.add(reg.counter("gemm.flops"), 0,
-          gm.sum("gemm.flops") - par.gemm_flops0);
-  reg.add(reg.counter("gemm.pack_bytes"), 0,
-          gm.sum("gemm.pack_bytes") - par.gemm_pack0);
-  // Dynamic-scheduler activity of this run (zero under Static).
-  r.stats.sched_claims = reg.sum("sched.claims") - par.sched_claims0;
-  r.stats.sched_steals = reg.sum("sched.steals") - par.sched_steals0;
-  r.stats.sched_counter_wait_s =
-      reg.sum("sched.counter_wait_s") - par.sched_wait0;
-  r.stats.sched_counter_fetches =
-      reg.sum("sched.counter_fetches") - par.sched_fetches0;
-  r.stats.sched_tree_hops = reg.sum("sched.tree_hops") - par.sched_hops0;
-  r.stats.recovery_fallback_epochs =
-      reg.sum("recovery.fallback_epochs") - par.fallback0;
-  r.stats.ckpt_verify_failures =
-      reg.sum("checkpoint.verify_failures") - par.verify_fail0;
-  r.stats.fault_domain_kills =
-      reg.sum("fault.domain_kills") - par.domain_kills0;
-  reg.set(par.id_sched_worst, 0, worst);
-  if (par.cl.mode() == runtime::ExecutionMode::Real &&
-      par.opt.gather_result && c_ga)
-    r.c = gather_c(par, *c_ga);
-  return r;
+/// Both symmetric pairs stored as triangles: A[(ij),(kl)], O2[(ab),(kl)].
+ga::TileFilter both_pairs() {
+  return ga::filter_and(ga::filter_triangular(0, 1),
+                        ga::filter_triangular(2, 3));
+}
+
+/// Contract dimension `dim` of a row-major block against B, over
+/// `prefix` leading sub-blocks. Dims 0-2 put B on the left:
+/// out[p][r][s] (+)= sum_k B[r][k] in[p][k][s]. Dim 3 puts it on the
+/// right, transposed: out[p][r][s] (+)= sum_k in[p][r][k] B[s][k].
+/// `b` points at B's panel (row stride `ldb`), `in_stride` separates
+/// the input sub-blocks; the output is dense (rows x cols per prefix).
+/// The flops are charged once, before the GEMMs.
+void contract_block(RankCtx& ctx, std::size_t dim, std::size_t prefix,
+                    std::size_t rows, std::size_t cols, std::size_t k,
+                    const double* b, std::size_t ldb, const double* in,
+                    std::size_t in_stride, double* out, double beta) {
+  ctx.charge_flops(gemm_flops(rows, cols, k) * double(prefix));
+  if (!ctx.real()) return;
+  for (std::size_t ip = 0; ip < prefix; ++ip) {
+    double* o = out + ip * rows * cols;
+    if (dim == 3)
+      gemm(Trans::No, Trans::Yes, rows, cols, k, 1.0, in + ip * in_stride,
+           k, b, ldb, beta, o, cols);
+    else
+      gemm(Trans::No, Trans::No, rows, cols, k, 1.0, b, ldb,
+           in + ip * in_stride, cols, beta, o, cols);
+  }
+}
+
+/// One contraction phase of the chain (Listings 4 and 8).
+struct ContractSpec {
+  /// The contracted dimension: c1..c4 contract dims 0..3.
+  std::size_t dim = 0;
+  /// The symmetric pair of the input stored as a triangle, which the
+  /// fetch unfolds through nbget_sym_tile; none for a full input.
+  SymPair sym = std::nullopt;
+  /// Column offset into B (the l slice's start for Listing 8's c4).
+  std::size_t l_base = 0;
+  /// Accumulate into the output (Listing 8's C, once per slice)
+  /// instead of putting.
+  bool accumulate = false;
+};
+
+/// out[.., x, ..] (+)= sum_y in[.., y, ..] B[x, l_base + y] over
+/// dimension spec.dim, one task per tile of `out`: fetch the in tiles
+/// along the contracted dimension through the prefetch pipeline and
+/// multiply each against its B panel.
+void contract(Par& par, const GlobalArray& in, GlobalArray& out,
+              const ContractSpec& spec, const std::string& label) {
+  // Scratch labels (OOM reports) by contracted dimension.
+  static const char* const kTile[] = {"O1 tile", "O2 tile", "O3 tile",
+                                      "C tile"};
+  static const char* const kFetch[] = {"A fetch", "O1 fetch", "O2 fetch",
+                                       "O3 fetch"};
+  static const char* const kTranspose[] = {"A transpose", "O1 transpose",
+                                           "O2 transpose", "O3 transpose"};
+  const std::size_t d = spec.dim;
+  const Tiling& kt = in.tiling(d);  // the contracted index
+  std::size_t slot = 1;             // largest input tile
+  for (std::size_t x = 0; x < 4; ++x) slot *= in.tiling(x).max_width();
+  const auto& m = par.cl.machine();
+  auto cost = [&](std::size_t idx) {
+    // One gemm and one tile fetch per contracted tile.
+    const auto& ti = out.tile_by_index(idx);
+    const double el = static_cast<double>(ti.elements);
+    const double nk = static_cast<double>(kt.extent());
+    return 2.0 * el * nk / m.flops_per_rank +
+           (8.0 * el / double(ti.len[d]) * nk) / m.net_bandwidth_bps +
+           double(kt.ntiles()) * m.net_latency_s;
+  };
+  run_claimed_phase(
+      par, label, out.n_tiles(), tile_owner_of(out), cost,
+      [&](RankCtx& ctx, std::size_t idx) {
+        const auto& ti = out.tile_by_index(idx);
+        // The tile as prefix x rows x cols blocks: dims 0-2 contract
+        // their own rows, dim 3 multiplies dim 2's rows by B^T.
+        const std::size_t row = std::min<std::size_t>(d, 2);
+        std::size_t prefix = 1, cols = 1;
+        for (std::size_t x = 0; x < row; ++x) prefix *= ti.len[x];
+        for (std::size_t x = row + 1; x < 4; ++x) cols *= ti.len[x];
+        const std::size_t rows = ti.len[row];
+        RankBuffer obuf(ctx, ti.elements, kTile[d]);
+        fetch_tiles(
+            par, ctx, in, kt.ntiles(), slot, spec.sym, kFetch[d],
+            kTranspose[d],
+            [&](std::size_t tk) {
+              ga::TileCoord c = ti.coord;
+              c[d] = tk;
+              return c;
+            },
+            [&](std::size_t tk, const double* tile) {
+              const std::size_t k = kt.len(tk);
+              contract_block(ctx, d, prefix, rows, cols, k,
+                             par.b() +
+                                 out.tiling(d).lo(ti.coord[d]) * par.n() +
+                                 spec.l_base + kt.lo(tk),
+                             par.n(), tile, d == 3 ? rows * k : k * cols,
+                             obuf.data(), 1.0);
+            });
+        par.write(ctx, out, ti.coord, obuf.data(), spec.accumulate);
+      });
 }
 
 std::unique_ptr<GlobalArray> make_c(Par& par) {
@@ -689,112 +500,139 @@ std::unique_ptr<GlobalArray> make_c(Par& par) {
                                        par.spatial_filter(), owner);
 }
 
-}  // namespace
-
-bool unfused_fits(const Problem& p, const runtime::Cluster& cluster) {
-  const auto sz = p.sizes();
-  // Peak live set of the unfused chain plus ~10% tile padding slack.
-  const double need = 8.0 * (static_cast<double>(sz.unfused_peak()) +
-                             static_cast<double>(sz.c)) *
-                      1.10;
-  return need <= cluster.aggregate_capacity_bytes();
-}
-
-ParResult unfused_par_transform(const Problem& p, Cluster& cluster,
-                                const ParOptions& opt) {
-  Par par(p, cluster, opt);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
-  std::vector<Tiling> dims(4, par.t);
-
-  auto a = std::make_unique<GlobalArray>(
-      cluster, "A", dims,
-      ga::filter_and(ga::filter_triangular(0, 1),
-                     ga::filter_triangular(2, 3)));
-  fill_a(par, *a, 0, "fill A");
-
-  auto o1 = std::make_unique<GlobalArray>(cluster, "O1", dims,
-                                          ga::filter_triangular(2, 3));
-  contract1(par, *a, *o1, "c1");
-  a.reset();
+/// The chain c1..c4 over one A, each intermediate allocated just before
+/// the phase that writes it and freed after the phase that reads it;
+/// `a` is freed after c1 when `release_a`. With `slice_c` null, l is
+/// whole (Listing 4): O1 and O2 store (k,l) as a triangle, c3 unfolds
+/// it, and the chain allocates C before c4, puts into it and returns
+/// it. Otherwise A is the l slice at `l_base` (Listing 8): the
+/// intermediates are full in (k,l) and c4 accumulates into *slice_c.
+std::unique_ptr<GlobalArray> contract_chain(Par& par,
+                                            std::unique_ptr<GlobalArray>& a,
+                                            bool release_a,
+                                            GlobalArray* slice_c,
+                                            std::size_t l_base,
+                                            const std::string& tag) {
+  const bool whole = slice_c == nullptr;
+  const std::string sfx = whole ? "" : "_l";
+  const std::vector<Tiling> dims = {a->tiling(0), a->tiling(1), a->tiling(2),
+                                    a->tiling(3)};
+  auto o1 = std::make_unique<GlobalArray>(
+      par.cl, "O1" + sfx, dims,
+      whole ? ga::filter_triangular(2, 3) : ga::TileFilter{});
+  contract(par, *a, *o1, {.dim = 0, .sym = {{0, 1}}}, "c1" + tag);
+  if (release_a) a.reset();
 
   auto o2 = std::make_unique<GlobalArray>(
-      cluster, "O2", dims,
-      ga::filter_and(ga::filter_triangular(0, 1),
-                     ga::filter_triangular(2, 3)));
-  contract2(par, *o1, *o2, "c2");
+      par.cl, "O2" + sfx, dims,
+      whole ? both_pairs() : ga::filter_triangular(0, 1));
+  contract(par, *o1, *o2, {.dim = 1}, "c2" + tag);
   o1.reset();
 
-  auto o3 = std::make_unique<GlobalArray>(cluster, "O3", dims,
+  auto o3 = std::make_unique<GlobalArray>(par.cl, "O3" + sfx, dims,
                                           ga::filter_triangular(0, 1));
-  contract3(par, *o2, *o3, /*kl_symmetric=*/true, "c3");
+  ContractSpec c3{.dim = 2};
+  if (whole) c3.sym = {2, 3};
+  contract(par, *o2, *o3, c3, "c3" + tag);
   o2.reset();
 
-  auto c = make_c(par);
-  contract4(par, *o3, *c, 0, /*accumulate=*/false, "c4");
-  o3.reset();
-
-  return finish(par, "unfused", c, timer, before, sim_before);
+  std::unique_ptr<GlobalArray> c = whole ? make_c(par) : nullptr;
+  contract(par, *o3, whole ? *c : *slice_c,
+           {.dim = 3, .l_base = l_base, .accumulate = !whole}, "c4" + tag);
+  return c;
 }
 
-ParResult fused_par_transform(const Problem& p, Cluster& cluster,
-                              const ParOptions& opt) {
-  Par par(p, cluster, opt);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
-  auto c = make_c(par);
-
-  const Tiling lt(par.n(), std::min(opt.tile_l, par.n()));
-  for (std::size_t sl = 0; sl < lt.ntiles(); ++sl) {
-    const std::size_t llo = lt.lo(sl);
-    const std::size_t llen = lt.len(sl);
-    const std::string tag = " [l-slice " + std::to_string(sl) + "]";
-    std::vector<Tiling> sdims = {par.t, par.t, par.t, Tiling(llen, llen)};
-
-    auto al = std::make_unique<GlobalArray>(cluster, "A_l", sdims,
-                                            ga::filter_triangular(0, 1));
-    fill_a(par, *al, llo, "fill A" + tag);
-
-    auto o1 = std::make_unique<GlobalArray>(cluster, "O1_l", sdims);
-    contract1(par, *al, *o1, "c1" + tag);
-    al.reset();
-
-    auto o2 = std::make_unique<GlobalArray>(cluster, "O2_l", sdims,
-                                            ga::filter_triangular(0, 1));
-    contract2(par, *o1, *o2, "c2" + tag);
-    o1.reset();
-
-    auto o3 = std::make_unique<GlobalArray>(cluster, "O3_l", sdims,
-                                            ga::filter_triangular(0, 1));
-    contract3(par, *o2, *o3, /*kl_symmetric=*/false, "c3" + tag);
-    o2.reset();
-
-    contract4(par, *o3, *c, llo, /*accumulate=*/true, "c4" + tag);
-    o3.reset();
+/// Gather the distributed C into a PackedC — in Real mode with
+/// ParOptions::gather_result only.
+std::optional<tensor::PackedC> gather_c(const Par& par,
+                                        const GlobalArray* c) {
+  if (!c || par.cl.mode() != runtime::ExecutionMode::Real ||
+      !par.opt.gather_result)
+    return std::nullopt;
+  tensor::PackedC out(par.n(), par.p.irreps);
+  for (std::size_t idx = 0; idx < c->n_tiles(); ++idx) {
+    const auto& ti = c->tile_by_index(idx);
+    for (std::size_t a = ti.lo[0]; a < ti.lo[0] + ti.len[0]; ++a)
+      for (std::size_t b = ti.lo[1]; b < ti.lo[1] + ti.len[1]; ++b) {
+        if (b > a) continue;
+        const auto hab = par.p.irreps.pair_irrep(a, b);
+        for (std::size_t cc = ti.lo[2]; cc < ti.lo[2] + ti.len[2]; ++cc)
+          for (std::size_t d = ti.lo[3]; d < ti.lo[3] + ti.len[3]; ++d) {
+            if (d > cc) continue;
+            if (par.p.irreps.pair_irrep(cc, d) != hab) continue;
+            out.add(a, b, cc, d,
+                    c->peek(std::vector<std::size_t>{a, b, cc, d}));
+          }
+      }
   }
-  return finish(par, "fused", c, timer, before, sim_before);
+  return out;
 }
 
-namespace {
+/// This run's statistics — registry deltas against the snapshots Par
+/// took — plus the gathered C when `c` is given.
+ParResult finish(Par& par, const char* name, const GlobalArray* c) {
+  ParResult r;
+  ParStats& s = r.stats;
+  s.schedule = name;
+  auto& reg = par.cl.metrics();
+  auto delta = [&](std::string_view metric) {
+    return reg.delta(par.reg0, metric);
+  };
+  s.sim_time = par.cl.sim_time() - par.sim0;
+  s.flops = delta("compute.flops");
+  s.integral_evals = delta("compute.integral_evals");
+  s.remote_bytes = delta("comm.remote_bytes");
+  s.local_bytes = delta("comm.local_bytes");
+  s.overlapped_seconds = delta("comm.overlapped_seconds");
+  s.exposed_seconds = delta("comm.exposed_seconds");
+  s.peak_global_bytes = par.cl.global_peak();
+  // Worst per-phase imbalance of *this run* (the cluster-lifetime max
+  // is Cluster::worst_imbalance); also published as the
+  // sched.worst_imbalance gauge next to the scheduler counters.
+  double worst = 1.0;
+  for (std::size_t i = par.phases0; i < par.cl.phases().size(); ++i)
+    worst = std::max(worst, par.cl.phases()[i].imbalance);
+  s.worst_imbalance = worst;
+  s.n_phases = par.cl.phases().size() - par.phases0;
+  s.wall_seconds = par.timer.seconds();
+  // Schedule-level registry entries: which schedule ran on this
+  // cluster, how often, and the modeled time it contributed.
+  const std::string prefix = std::string("schedule.") + name;
+  reg.add(reg.counter(prefix + ".runs"), 0, 1);
+  reg.add(reg.counter(prefix + ".sim_time_s"), 0, s.sim_time);
+  reg.add(reg.counter(prefix + ".host_wall_s"), 0, s.wall_seconds);
+  // Actual kernel-engine activity during this transform (Real mode
+  // drives the blocked gemm; Simulate mode leaves these at zero).
+  const auto& gm = blas::gemm_metrics();
+  for (const char* g : {"gemm.calls", "gemm.flops", "gemm.pack_bytes"})
+    reg.add(reg.counter(g), 0, gm.delta(par.gemm0, g));
+  // Dynamic-scheduler activity of this run (zero under Static) and the
+  // checkpoint fallback and domain killing it absorbed.
+  s.sched_claims = delta("sched.claims");
+  s.sched_steals = delta("sched.steals");
+  s.sched_counter_wait_s = delta("sched.counter_wait_s");
+  s.sched_counter_fetches = delta("sched.counter_fetches");
+  s.sched_tree_hops = delta("sched.tree_hops");
+  s.recovery_fallback_epochs = delta("recovery.fallback_epochs");
+  s.ckpt_verify_failures = delta("checkpoint.verify_failures");
+  s.fault_domain_kills = delta("fault.domain_kills");
+  reg.set(par.id_sched_worst, 0, worst);
+  r.c = gather_c(par, c);
+  return r;
+}
 
-/// One member of a (possibly single-element) shared-basis batch as the
-/// fused-inner slice driver sees it: where to accumulate its C, and
-/// which transformation matrix to contract with.
-struct FusedInnerMember {
-  GlobalArray* c;
-  const tensor::Matrix* b;
-};
-
-/// The fused-inner slice loop (Listing 10), shared between the
-/// single-problem entry point and the shared-basis batch: per l-slice
-/// the A slice is produced once and every member replays the fused12 /
-/// fused34 phases against it with its own B. Phase labels are
-/// per-slice but member-invariant, so an Auto balance memo amortizes
-/// the claim DES across members as well.
-void fused_inner_slices(Par& par,
-                        std::span<const FusedInnerMember> members) {
+/// Fused-inner members (Listing 10): per l-slice the A slice is
+/// produced once and every member replays the fused12 / fused34 phases
+/// against it with its own B. Phase labels are per-slice but
+/// member-invariant, so an Auto balance memo amortizes the claim DES
+/// across members as well. Every member's C accumulates across every
+/// slice, so all of them stay allocated for the whole run — the
+/// memory/throughput trade core::plan_batch accounts for — and no
+/// member is complete before the last slice.
+void fused_inner_members(Par& par, std::span<const tensor::Matrix> bs,
+                         BatchParResult& r) {
+  std::vector<std::unique_ptr<GlobalArray>> cs;
+  for (std::size_t m = 0; m < bs.size(); ++m) cs.push_back(make_c(par));
   Cluster& cluster = par.cl;
   const ParOptions& opt = par.opt;
   const std::size_t n = par.n();
@@ -851,31 +689,22 @@ void fused_inner_slices(Par& par,
   for (std::size_t ta = 0; ta < par.nt; ++ta)
     for (std::size_t tb = 0; tb <= ta; ++tb) ab_pairs.emplace_back(ta, tb);
 
+  // Tile pairs of the triangular A gather, in the historical
+  // (tj outer, ti >= tj) order; indexable for the prefetch pipeline.
+  std::vector<std::pair<std::size_t, std::size_t>> ij_tiles;
+  for (std::size_t tj = 0; tj < par.nt; ++tj)
+    for (std::size_t ti = tj; ti < par.nt; ++ti)
+      ij_tiles.emplace_back(ti, tj);
+
   const auto& mach = cluster.machine();
-  const Tiling lt(n, std::min(opt.tile_l, n));
-  for (std::size_t sl = 0; sl < lt.ntiles(); ++sl) {
-    const std::size_t llo = lt.lo(sl);
-    const std::size_t llen = lt.len(sl);
-    const std::string tag = " [l-slice " + std::to_string(sl) + "]";
-    std::vector<Tiling> sdims = {par.t, par.t, par.t, Tiling(llen, llen)};
-
-    auto al = std::make_unique<GlobalArray>(cluster, "A_l", sdims,
-                                            ga::filter_triangular(0, 1));
-    fill_a(par, *al, llo, "fill A" + tag);
-
-    // Tile pairs of the triangular A gather, in the historical
-    // (tj outer, ti >= tj) order; indexable for the prefetch pipeline.
-    std::vector<std::pair<std::size_t, std::size_t>> ij_tiles;
-    for (std::size_t tj = 0; tj < par.nt; ++tj)
-      for (std::size_t ti = tj; ti < par.nt; ++ti)
-        ij_tiles.emplace_back(ti, tj);
-
+  for_each_l_slice(par, [&](std::unique_ptr<GlobalArray>& al,
+                            std::size_t llo, std::size_t llen,
+                            const std::string& tag) {
     // Every member replays both fused phases against this slice's A
     // with its own B; the slice's A frees once the last member's
     // fused12 has consumed it, and only one member's O2 is ever live.
-    for (std::size_t mi = 0; mi < members.size(); ++mi) {
-      const FusedInnerMember& mem = members[mi];
-      par.b_active = mem.b;
+    for (std::size_t mi = 0; mi < bs.size(); ++mi) {
+      par.b_active = &bs[mi];
 
       // O2_l distributed so that the rank computing work unit (tk, ac)
       // owns every O2 tile it produces — puts stay local.
@@ -885,7 +714,9 @@ void fused_inner_slices(Par& par,
         return unit_owner(tc[2], chunk_of(tc[0]));
       };
       auto o2 = std::make_unique<GlobalArray>(
-          cluster, "O2_l", sdims, ga::filter_triangular(0, 1), o2_owner);
+          cluster, "O2_l",
+          std::vector<Tiling>{par.t, par.t, par.t, Tiling(llen, llen)},
+          ga::filter_triangular(0, 1), o2_owner);
 
       // ---- Fused contractions 1+2 (k-parallel, Listing 10 top) -------
       // Work unit (tk, ac) = task tk*n_ac + ac; cost = the A-block
@@ -921,42 +752,27 @@ void fused_inner_slices(Par& par,
             // Gather the full (i,j) x (k in tk) x (l in slice) A block.
             // This is the A traffic that replicates with n_ac (Sec 7.3).
             RankBuffer bufa(ctx, n * n * m, "A block");
-            {
-              const std::size_t tw = par.t.max_width();
-              const std::size_t fmax = tw * tw * m;
-              const std::size_t nslots = par.opt.overlap ? 2 : 1;
-              RankBuffer fetchbuf(ctx, nslots * fmax, "A fetch");
-              auto at = [&](std::size_t s) {
-                return ctx.real() ? fetchbuf.data() + s * fmax : nullptr;
-              };
-              GlobalArray::NbHandle fh[2];
-              pipelined_fetch(
-                  ij_tiles.size(), par.opt.overlap,
-                  [&](std::size_t q, std::size_t s) {
-                    ga::TileCoord ac4 = {ij_tiles[q].first,
-                                         ij_tiles[q].second, tk, 0};
-                    fh[s] = al->nbget(ctx, ac4, at(s));
-                  },
-                  [&](std::size_t, std::size_t s) {
-                    ctx.wait_transfer(fh[s]);
-                  },
-                  [&](std::size_t q, std::size_t s) {
-                    if (!ctx.real()) return;
-                    ga::TileCoord ac4 = {ij_tiles[q].first,
-                                         ij_tiles[q].second, tk, 0};
-                    const auto& info = al->info(ac4);
-                    const double* src = at(s);
-                    for (std::size_t i = info.lo[0];
-                         i < info.lo[0] + info.len[0]; ++i)
-                      for (std::size_t j = info.lo[1];
-                           j < info.lo[1] + info.len[1]; ++j)
-                        for (std::size_t x = 0; x < m; ++x) {
-                          const double v = *src++;
-                          bufa.data()[(i * n + j) * m + x] = v;
-                          bufa.data()[(j * n + i) * m + x] = v;
-                        }
-                  });
-            }
+            const std::size_t tw = par.t.max_width();
+            auto a_coord = [&](std::size_t q) {
+              return ga::TileCoord{ij_tiles[q].first, ij_tiles[q].second,
+                                   tk, 0};
+            };
+            fetch_tiles(
+                par, ctx, *al, ij_tiles.size(), tw * tw * m, std::nullopt,
+                "A fetch", nullptr, a_coord,
+                [&](std::size_t q, const double* src) {
+                  if (!ctx.real()) return;
+                  const auto& info = al->info(a_coord(q));
+                  for (std::size_t i = info.lo[0];
+                       i < info.lo[0] + info.len[0]; ++i)
+                    for (std::size_t j = info.lo[1];
+                         j < info.lo[1] + info.len[1]; ++j)
+                      for (std::size_t x = 0; x < m; ++x) {
+                        const double v = *src++;
+                        bufa.data()[(i * n + j) * m + x] = v;
+                        bufa.data()[(j * n + i) * m + x] = v;
+                      }
+                });
             // Alpha-tile chunk [ta0, ta1) assigned to chunk ac.
             for (std::size_t ta = 0; ta < par.nt; ++ta) {
               if (chunk_of(ta) != ac) continue;
@@ -964,32 +780,22 @@ void fused_inner_slices(Par& par,
               // O1 block for all alpha in this tile, in fast memory
               // only — never communicated (the point of the fusion).
               RankBuffer o1blk(ctx, lena * n * m, "O1 block");
-              ctx.charge_flops(gemm_flops(lena, n * m, n));
-              if (ctx.real())
-                gemm(Trans::No, Trans::No, lena, n * m, n, 1.0,
-                     par.b() + par.t.lo(ta) * n, n, bufa.data(), n * m, 0.0,
-                     o1blk.data(), n * m);
+              contract_block(ctx, 0, 1, lena, n * m, n,
+                             par.b() + par.t.lo(ta) * n, n, bufa.data(),
+                             n * n * m, o1blk.data(), 0.0);
               for (std::size_t tb = 0; tb <= ta; ++tb) {
                 const std::size_t lenb = par.t.len(tb);
                 RankBuffer o2tile(ctx, lena * lenb * m, "O2 tile");
-                ctx.charge_flops(gemm_flops(lenb, m, n) * double(lena));
-                if (ctx.real())
-                  for (std::size_t ia = 0; ia < lena; ++ia)
-                    gemm(Trans::No, Trans::No, lenb, m, n, 1.0,
-                         par.b() + par.t.lo(tb) * n, n,
-                         o1blk.data() + ia * n * m, m, 0.0,
-                         o2tile.data() + ia * lenb * m, m);
-                // Nonblocking: the O2 tile is consumed at issue, so the
-                // put hides behind the next (tb / ta) iteration's gemm.
-                if (par.opt.overlap)
-                  o2->nbput(ctx, ga::TileCoord{ta, tb, tk, 0},
-                            o2tile.data());
-                else
-                  o2->put(ctx, ga::TileCoord{ta, tb, tk, 0}, o2tile.data());
+                contract_block(ctx, 1, lena, lenb, m, n,
+                               par.b() + par.t.lo(tb) * n, n, o1blk.data(),
+                               n * m, o2tile.data(), 0.0);
+                // The put hides behind the next (tb / ta) gemm.
+                par.write(ctx, *o2, {ta, tb, tk, 0}, o2tile.data(),
+                          /*accumulate=*/false);
               }
             }
           });
-      if (mi + 1 == members.size()) al.reset();
+      if (mi + 1 == bs.size()) al.reset();
 
       // ---- Fused contractions 3+4 ((ab)-parallel, Listing 10 bottom) -
       // Task = (ta, tb) pair row; cost = the O2-row gather, the O3
@@ -1027,217 +833,161 @@ void fused_inner_slices(Par& par,
             // Gather O2[(ab) row, all k] and compute the O3 block in
             // fast memory only — never communicated.
             RankBuffer bufo2(ctx, lena * lenb * n * llen, "O2 row");
-            {
-              const std::size_t tw = par.t.max_width();
-              const std::size_t fmax = tw * tw * tw * llen;
-              const std::size_t nslots = par.opt.overlap ? 2 : 1;
-              RankBuffer fetchbuf(ctx, nslots * fmax, "O2 fetch");
-              auto at = [&](std::size_t s) {
-                return ctx.real() ? fetchbuf.data() + s * fmax : nullptr;
-              };
-              GlobalArray::NbHandle fh[2];
-              pipelined_fetch(
-                  par.nt, par.opt.overlap,
-                  [&](std::size_t tk, std::size_t s) {
-                    ga::TileCoord oc = {ta, tb, tk, 0};
-                    fh[s] = o2->nbget(ctx, oc, at(s));
-                  },
-                  [&](std::size_t, std::size_t s) {
-                    ctx.wait_transfer(fh[s]);
-                  },
-                  [&](std::size_t tk, std::size_t s) {
-                    if (!ctx.real()) return;
-                    ga::TileCoord oc = {ta, tb, tk, 0};
-                    const auto& info = o2->info(oc);
-                    const double* src = at(s);
-                    for (std::size_t ia = 0; ia < lena; ++ia)
-                      for (std::size_t ib = 0; ib < lenb; ++ib)
-                        for (std::size_t k = info.lo[2];
-                             k < info.lo[2] + info.len[2]; ++k)
-                          for (std::size_t ll = 0; ll < llen; ++ll)
-                            bufo2.data()[((ia * lenb + ib) * n + k) * llen +
-                                         ll] = *src++;
-                  });
-            }
+            const std::size_t tw = par.t.max_width();
+            auto o2_coord = [&](std::size_t tk) {
+              return ga::TileCoord{ta, tb, tk, 0};
+            };
+            fetch_tiles(
+                par, ctx, *o2, par.nt, tw * tw * tw * llen, std::nullopt,
+                "O2 fetch", nullptr, o2_coord,
+                [&](std::size_t tk, const double* src) {
+                  if (!ctx.real()) return;
+                  const auto& info = o2->info(o2_coord(tk));
+                  for (std::size_t ia = 0; ia < lena; ++ia)
+                    for (std::size_t ib = 0; ib < lenb; ++ib)
+                      for (std::size_t k = info.lo[2];
+                           k < info.lo[2] + info.len[2]; ++k)
+                        for (std::size_t ll = 0; ll < llen; ++ll)
+                          bufo2.data()[((ia * lenb + ib) * n + k) * llen +
+                                       ll] = *src++;
+                });
             RankBuffer bufo3(ctx, lena * lenb * n * llen, "O3 block");
-            ctx.charge_flops(gemm_flops(n, llen, n) * double(lena * lenb));
-            if (ctx.real())
-              for (std::size_t iab = 0; iab < lena * lenb; ++iab)
-                gemm(Trans::No, Trans::No, n, llen, n, 1.0, par.b(), n,
-                     bufo2.data() + iab * n * llen, llen, 0.0,
-                     bufo3.data() + iab * n * llen, llen);
+            contract_block(ctx, 2, lena * lenb, n, llen, n, par.b(), n,
+                           bufo2.data(), n * llen, bufo3.data(), 0.0);
             for (std::size_t tc = 0; tc < par.nt; ++tc)
               for (std::size_t td = 0; td <= tc; ++td) {
                 if (!par.tile_allowed(ta, tb, tc, td)) continue;
                 const std::size_t lenc = par.t.len(tc);
                 const std::size_t lend = par.t.len(td);
                 RankBuffer ctile(ctx, lena * lenb * lenc * lend, "C tile");
-                ctx.charge_flops(gemm_flops(lenc, lend, llen) *
-                                 double(lena * lenb));
-                if (ctx.real())
-                  for (std::size_t iab = 0; iab < lena * lenb; ++iab)
-                    gemm(Trans::No, Trans::Yes, lenc, lend, llen, 1.0,
-                         bufo3.data() + (iab * n + par.t.lo(tc)) * llen, llen,
-                         par.b() + par.t.lo(td) * n + llo, n, 1.0,
-                         ctile.data() + iab * lenc * lend, lend);
-                // Nonblocking: the accumulate lands at issue (under the
-                // GA acc mutex); its wire time hides behind the next
-                // (tc,td) tile's gemm.
-                if (par.opt.overlap)
-                  mem.c->nbacc(ctx, ga::TileCoord{ta, tb, tc, td},
-                               ctile.data());
-                else
-                  mem.c->acc(ctx, ga::TileCoord{ta, tb, tc, td},
-                             ctile.data());
+                // Rows tc of the O3 block against B[td, l slice]^T.
+                contract_block(
+                    ctx, 3, lena * lenb, lenc, lend, llen,
+                    par.b() + par.t.lo(td) * n + llo, n,
+                    ctx.real() ? bufo3.data() + par.t.lo(tc) * llen : nullptr,
+                    n * llen, ctile.data(), 1.0);
+                // The accumulate hides behind the next (tc,td) gemm.
+                par.write(ctx, *cs[mi], {ta, tb, tc, td}, ctile.data(),
+                          /*accumulate=*/true);
               }
           });
       o2.reset();
     }
     par.b_active = nullptr;
+  });
+  const double done = par.cl.sim_time() - par.sim0;
+  for (auto& c : cs) {
+    r.member_done_s.push_back(done);
+    r.c.push_back(gather_c(par, c.get()));
+    c.reset();
   }
+}
+
+/// What a batch driver runs between setup and finish: every member's
+/// transform, appending its gathered C and completion time to `r`.
+using BatchBody = void (*)(Par& par, std::span<const tensor::Matrix> bs,
+                           BatchParResult& r);
+
+/// The frame every batch driver shares, and with it the solo unfused
+/// and fused-inner runs, which are batches of one: member validation,
+/// a private Auto memo (when the caller brought none) so the members'
+/// identically shaped phases pay the six-candidate DES once, the body,
+/// and the run's statistics under `name`.
+BatchParResult run_batch(const Problem& p,
+                         std::span<const tensor::Matrix> member_b,
+                         Cluster& cluster, const ParOptions& opt,
+                         const char* name, BatchBody body) {
+  FIT_REQUIRE(!member_b.empty(), "batched transform needs >= 1 member");
+  for (const auto& b : member_b)
+    FIT_REQUIRE(b.rows() == p.irreps.n_orbitals() &&
+                    b.cols() == p.irreps.n_orbitals(),
+                "batch member B must be " << p.irreps.n_orbitals()
+                                          << " x "
+                                          << p.irreps.n_orbitals());
+  ParOptions o = opt;
+  BalanceCache local_memo;
+  if (!o.balance_cache) o.balance_cache = &local_memo;
+  Par par(p, cluster, o);
+  BatchParResult r;
+  body(par, member_b, r);
+  r.stats = std::move(finish(par, name, nullptr).stats);
+  return r;
+}
+
+/// A batch of one as a plain result.
+ParResult solo(BatchParResult&& batch) {
+  ParResult r;
+  r.c = std::move(batch.c.front());
+  r.stats = std::move(batch.stats);
+  return r;
+}
+
+/// Unfused members: the AO integral tensor is member-invariant, so it
+/// is filled — and its integral evaluation paid — exactly once; it
+/// frees after the last member's c1. Each member's C is gathered and
+/// freed before the next member starts, so the live set never exceeds
+/// one member's chain.
+void unfused_members(Par& par, std::span<const tensor::Matrix> bs,
+                     BatchParResult& r) {
+  auto a = std::make_unique<GlobalArray>(
+      par.cl, "A", std::vector<Tiling>(4, par.t), both_pairs());
+  fill_a(par, *a, 0, "fill A");
+  for (std::size_t m = 0; m < bs.size(); ++m) {
+    par.b_active = &bs[m];
+    auto c = contract_chain(par, a, m + 1 == bs.size(), nullptr, 0, "");
+    r.member_done_s.push_back(par.cl.sim_time() - par.sim0);
+    r.c.push_back(gather_c(par, c.get()));
+  }
+  par.b_active = nullptr;
 }
 
 }  // namespace
 
+bool unfused_fits(const Problem& p, const runtime::Cluster& cluster) {
+  const auto sz = p.sizes();
+  // Peak live set of the unfused chain plus ~10% tile padding slack.
+  const double need = 8.0 * (static_cast<double>(sz.unfused_peak()) +
+                             static_cast<double>(sz.c)) *
+                      1.10;
+  return need <= cluster.aggregate_capacity_bytes();
+}
+
+ParResult unfused_par_transform(const Problem& p, Cluster& cluster,
+                                const ParOptions& opt) {
+  return solo(run_batch(p, std::span(&p.b, 1), cluster, opt, "unfused",
+                        unfused_members));
+}
+
+ParResult fused_par_transform(const Problem& p, Cluster& cluster,
+                              const ParOptions& opt) {
+  Par par(p, cluster, opt);
+  auto c = make_c(par);
+  for_each_l_slice(par, [&](std::unique_ptr<GlobalArray>& al,
+                            std::size_t llo, std::size_t,
+                            const std::string& tag) {
+    contract_chain(par, al, /*release_a=*/true, c.get(), llo, tag);
+  });
+  return finish(par, "fused", c.get());
+}
+
 ParResult fused_inner_par_transform(const Problem& p, Cluster& cluster,
                                     const ParOptions& opt) {
-  Par par(p, cluster, opt);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
-  auto c = make_c(par);
-  const FusedInnerMember self{c.get(), &p.b};
-  fused_inner_slices(par, std::span<const FusedInnerMember>(&self, 1));
-  return finish(par, "fused-inner", c, timer, before, sim_before);
+  return solo(run_batch(p, std::span(&p.b, 1), cluster, opt, "fused-inner",
+                        fused_inner_members));
 }
 
 BatchParResult batched_unfused_par_transform(
     const Problem& p, std::span<const tensor::Matrix> member_b,
     Cluster& cluster, const ParOptions& opt) {
-  FIT_REQUIRE(!member_b.empty(), "batched transform needs >= 1 member");
-  for (const auto& b : member_b)
-    FIT_REQUIRE(b.rows() == p.irreps.n_orbitals() &&
-                    b.cols() == p.irreps.n_orbitals(),
-                "batch member B must be " << p.irreps.n_orbitals()
-                                          << " x "
-                                          << p.irreps.n_orbitals());
-  // A private Auto memo (when the caller brought none) shares the
-  // per-phase DES picks across members: the contraction phases have
-  // identical shape for every member, so the six-candidate planning
-  // is paid once per phase.
-  ParOptions o = opt;
-  BalanceCache local_memo;
-  if (!o.balance_cache) o.balance_cache = &local_memo;
-  Par par(p, cluster, o);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
-  std::vector<Tiling> dims(4, par.t);
-
-  BatchParResult r;
-
-  // The AO integral tensor is member-invariant: fill it — and pay its
-  // integral evaluation — exactly once for the whole batch.
-  auto a = std::make_unique<GlobalArray>(
-      cluster, "A", dims,
-      ga::filter_and(ga::filter_triangular(0, 1),
-                     ga::filter_triangular(2, 3)));
-  fill_a(par, *a, 0, "fill A");
-
-  for (std::size_t m = 0; m < member_b.size(); ++m) {
-    par.b_active = &member_b[m];
-
-    auto o1 = std::make_unique<GlobalArray>(cluster, "O1", dims,
-                                            ga::filter_triangular(2, 3));
-    contract1(par, *a, *o1, "c1");
-    if (m + 1 == member_b.size()) a.reset();
-
-    auto o2 = std::make_unique<GlobalArray>(
-        cluster, "O2", dims,
-        ga::filter_and(ga::filter_triangular(0, 1),
-                       ga::filter_triangular(2, 3)));
-    contract2(par, *o1, *o2, "c2");
-    o1.reset();
-
-    auto o3 = std::make_unique<GlobalArray>(cluster, "O3", dims,
-                                            ga::filter_triangular(0, 1));
-    contract3(par, *o2, *o3, /*kl_symmetric=*/true, "c3");
-    o2.reset();
-
-    auto c = make_c(par);
-    contract4(par, *o3, *c, 0, /*accumulate=*/false, "c4");
-    o3.reset();
-
-    r.member_done_s.push_back(cluster.sim_time() - sim_before);
-    if (cluster.mode() == runtime::ExecutionMode::Real && o.gather_result)
-      r.c.emplace_back(gather_c(par, *c));
-    else
-      r.c.emplace_back(std::nullopt);
-    // Each member's C frees before the next member starts — the
-    // unfused batch's live set never exceeds one member's chain.
-    c.reset();
-  }
-  par.b_active = nullptr;
-
-  static const std::unique_ptr<GlobalArray> no_c;  // already gathered
-  r.stats =
-      std::move(finish(par, "batched-unfused", no_c, timer, before,
-                       sim_before)
-                    .stats);
-  return r;
+  return run_batch(p, member_b, cluster, opt, "batched-unfused",
+                   unfused_members);
 }
 
 BatchParResult batched_fused_inner_par_transform(
     const Problem& p, std::span<const tensor::Matrix> member_b,
     Cluster& cluster, const ParOptions& opt) {
-  FIT_REQUIRE(!member_b.empty(), "batched transform needs >= 1 member");
-  for (const auto& b : member_b)
-    FIT_REQUIRE(b.rows() == p.irreps.n_orbitals() &&
-                    b.cols() == p.irreps.n_orbitals(),
-                "batch member B must be " << p.irreps.n_orbitals()
-                                          << " x "
-                                          << p.irreps.n_orbitals());
-  ParOptions o = opt;
-  BalanceCache local_memo;
-  if (!o.balance_cache) o.balance_cache = &local_memo;
-  Par par(p, cluster, o);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
-
-  // Every member's C accumulates across every l-slice, so all of them
-  // stay allocated for the whole run — the memory/throughput trade
-  // core::plan_batch accounts for.
-  std::vector<std::unique_ptr<GlobalArray>> cs;
-  std::vector<FusedInnerMember> members;
-  cs.reserve(member_b.size());
-  members.reserve(member_b.size());
-  for (std::size_t m = 0; m < member_b.size(); ++m) {
-    cs.push_back(make_c(par));
-    members.push_back(FusedInnerMember{cs.back().get(), &member_b[m]});
-  }
-
-  fused_inner_slices(par, members);
-
-  BatchParResult r;
-  const double done = cluster.sim_time() - sim_before;
-  for (std::size_t m = 0; m < member_b.size(); ++m) {
-    // No member is complete before the last slice: every C is only
-    // final at batch end.
-    r.member_done_s.push_back(done);
-    if (cluster.mode() == runtime::ExecutionMode::Real && o.gather_result)
-      r.c.emplace_back(gather_c(par, *cs[m]));
-    else
-      r.c.emplace_back(std::nullopt);
-    cs[m].reset();
-  }
-
-  static const std::unique_ptr<GlobalArray> no_c;  // already gathered
-  r.stats =
-      std::move(finish(par, "batched-fused-inner", no_c, timer, before,
-                       sim_before)
-                    .stats);
-  return r;
+  return run_batch(p, member_b, cluster, opt, "batched-fused-inner",
+                   fused_inner_members);
 }
 
 std::vector<tensor::Matrix> batch_member_bs(const Problem& p,
@@ -1297,39 +1047,27 @@ ParResult resilient_transform(const Problem& p, Cluster& cluster,
 ParResult nwchem_unfused_par_transform(const Problem& p, Cluster& cluster,
                                        const ParOptions& opt) {
   Par par(p, cluster, opt);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
   std::vector<Tiling> dims(4, par.t);
 
   // Production behaviour: every tensor is allocated up front and kept
   // until the end — the ~1.5 n^4 aggregate footprint.
-  GlobalArray a(cluster, "A", dims,
-                ga::filter_and(ga::filter_triangular(0, 1),
-                               ga::filter_triangular(2, 3)));
+  GlobalArray a(cluster, "A", dims, both_pairs());
   GlobalArray o1(cluster, "O1", dims, ga::filter_triangular(2, 3));
-  GlobalArray o2(cluster, "O2", dims,
-                 ga::filter_and(ga::filter_triangular(0, 1),
-                                ga::filter_triangular(2, 3)));
+  GlobalArray o2(cluster, "O2", dims, both_pairs());
   GlobalArray o3(cluster, "O3", dims, ga::filter_triangular(0, 1));
   auto c = make_c(par);
 
   fill_a(par, a, 0, "fill A");
-  contract1(par, a, o1, "c1");
-  contract2(par, o1, o2, "c2");
-  contract3(par, o2, o3, /*kl_symmetric=*/true, "c3");
-  contract4(par, o3, *c, 0, /*accumulate=*/false, "c4");
-
-  auto r = finish(par, "nwchem-unfused", c, timer, before, sim_before);
-  return r;
+  contract(par, a, o1, {.dim = 0, .sym = {{0, 1}}}, "c1");
+  contract(par, o1, o2, {.dim = 1}, "c2");
+  contract(par, o2, o3, {.dim = 2, .sym = {{2, 3}}}, "c3");
+  contract(par, o3, *c, {.dim = 3}, "c4");
+  return finish(par, "nwchem-unfused", c.get());
 }
 
 ParResult nwchem_recompute_par_transform(const Problem& p, Cluster& cluster,
                                          const ParOptions& opt) {
   Par par(p, cluster, opt);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
   const std::size_t n = par.n();
   const std::size_t np = tensor::npairs(n);
   const std::size_t nranks = cluster.n_ranks();
@@ -1442,7 +1180,7 @@ ParResult nwchem_recompute_par_transform(const Problem& p, Cluster& cluster,
             c->acc(ctx, ga::TileCoord{ta, tb, tc, td}, ctile.data());
           }
       });
-  return finish(par, "nwchem-recompute", c, timer, before, sim_before);
+  return finish(par, "nwchem-recompute", c.get());
 }
 
 }  // namespace fit::core

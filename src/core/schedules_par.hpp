@@ -25,6 +25,16 @@
 // reference) or Simulate mode (counters and modeled time only; used at
 // paper scale). OutOfMemoryError propagates to the caller — that is
 // the "Failed" outcome of Figure 2.
+//
+// Implementation shape: Listings 4 and 8 share one contraction routine
+// driven by a small descriptor (contracted dimension, the symmetric
+// pair its fetch unfolds, B's column offset, put or accumulate) and one
+// c1..c4 chain whose only switch is whether l is whole or a slice; the
+// fused-inner phases reuse the same block-contraction helper, so the
+// GEMM orientation lives in one place. The solo unfused and fused-inner
+// schedules are shared-basis batches of one member. Whether a tile
+// write is blocking or nonblocking (ParOptions::overlap) is decided in
+// one write helper, next to the double-buffered fetch pipeline.
 #pragma once
 
 #include <optional>

@@ -107,14 +107,18 @@ MetricKind MetricsRegistry::kind(std::string_view name) const {
   return named(name).kind;
 }
 
+double MetricsRegistry::sum_of(const Metric& m) {
+  double s = 0;
+  for (double v : m.per_rank) s += v;
+  return s;
+}
+
 double MetricsRegistry::sum(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const Metric& m = named(name);
   FIT_REQUIRE(m.kind != MetricKind::Histogram,
               "sum() of histogram '" << m.name << "' — use hist()");
-  double s = 0;
-  for (double v : m.per_rank) s += v;
-  return s;
+  return sum_of(m);
 }
 
 double MetricsRegistry::max(std::string_view name) const {
@@ -151,6 +155,27 @@ std::vector<std::string> MetricsRegistry::names() const {
   out.reserve(metrics_.size());
   for (const auto& m : metrics_) out.push_back(m.name);
   return out;
+}
+
+MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Snapshot snap;
+  snap.sums.reserve(metrics_.size());
+  for (const auto& m : metrics_) snap.sums.push_back(sum_of(m));
+  return snap;
+}
+
+double MetricsRegistry::delta(const Snapshot& before,
+                              std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (Id i = 0; i < metrics_.size(); ++i) {
+    if (metrics_[i].name != name) continue;
+    FIT_REQUIRE(metrics_[i].kind != MetricKind::Histogram,
+                "delta() of histogram '" << name << "' — use hist()");
+    return sum_of(metrics_[i]) -
+           (i < before.sums.size() ? before.sums[i] : 0.0);
+  }
+  return 0.0;
 }
 
 json::Value MetricsRegistry::to_json(bool per_rank_views) const {

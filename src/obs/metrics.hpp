@@ -65,6 +65,16 @@ class MetricsRegistry {
   /// Names in creation order.
   std::vector<std::string> names() const;
 
+  /// Per-metric sums at one instant, for delta().
+  struct Snapshot {
+    std::vector<double> sums;  // indexed by Id; histograms read 0
+  };
+  Snapshot snapshot() const;
+  /// sum(name) now minus its sum in `before`. A metric created after
+  /// the snapshot reads its full sum; a name absent from the registry
+  /// reads 0 and is not created.
+  double delta(const Snapshot& before, std::string_view name) const;
+
   /// Snapshot of the whole registry:
   ///   { "<name>": {"kind": "counter", "sum": s, "max": m,
   ///                "per_rank": [..]}           (counter/gauge)
@@ -83,6 +93,7 @@ class MetricsRegistry {
 
   Id get_or_create(std::string_view name, MetricKind kind);
   const Metric& named(std::string_view name) const;
+  static double sum_of(const Metric& m);
 
   std::size_t n_ranks_;
   mutable std::mutex mutex_;

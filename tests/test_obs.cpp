@@ -126,6 +126,27 @@ TEST(ObsMetrics, GetOrCreateIsIdempotentButKindChecked) {
   EXPECT_THROW((void)reg.histogram("x"), fit::Error);
 }
 
+TEST(ObsMetrics, SnapshotDeltaCoversExistingNewAndAbsentMetrics) {
+  obs::MetricsRegistry reg(2);
+  const auto old = reg.counter("old");
+  reg.add(old, 0, 3.0);
+  reg.add(old, 1, 4.0);
+  const auto snap = reg.snapshot();
+
+  // Existing in both snapshots: only what was added since.
+  reg.add(old, 1, 2.5);
+  EXPECT_DOUBLE_EQ(reg.delta(snap, "old"), 2.5);
+  // Created after the snapshot: its whole sum.
+  const auto fresh = reg.counter("fresh");
+  reg.add(fresh, 0, 1.0);
+  reg.add(fresh, 1, 6.0);
+  EXPECT_DOUBLE_EQ(reg.delta(snap, "fresh"), 7.0);
+  // Absent from both: reads 0 and stays absent.
+  EXPECT_EQ(reg.delta(snap, "never"), 0.0);
+  EXPECT_FALSE(reg.contains("never"));
+  EXPECT_EQ(reg.n_metrics(), 2u);
+}
+
 TEST(ObsMetrics, ToJsonShape) {
   obs::MetricsRegistry reg(3);
   reg.add(reg.counter("c"), 1, 5);

@@ -3,9 +3,12 @@
 // memory/communication properties the paper claims for each.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "chem/molecule.hpp"
 #include "core/problem.hpp"
@@ -352,6 +355,22 @@ TEST(ParProperties, ImbalanceReportedAboveOne) {
   EXPECT_GT(r.stats.sim_time, 0.0);
 }
 
+TEST(ParProperties, PhaseCountIsPerRunOnAReusedCluster) {
+  // n_phases counts this transform's BSP phases, not every phase the
+  // cluster has run — e.g. a resilient fused-inner rerun must not also
+  // count the aborted unfused attempt's phases.
+  auto p = core::make_problem(chem::custom_molecule("reuse", 12, 2, 5));
+  core::ParOptions o;
+  o.tile = 4;
+  o.tile_l = 3;
+  Cluster fresh(test_machine(2, 2), ExecutionMode::Simulate);
+  const auto want = core::fused_inner_par_transform(p, fresh, o).stats;
+  Cluster reused(test_machine(2, 2), ExecutionMode::Simulate);
+  core::unfused_par_transform(p, reused, o);
+  const auto got = core::fused_inner_par_transform(p, reused, o).stats;
+  EXPECT_EQ(got.n_phases, want.n_phases);
+}
+
 TEST(ParProperties, NegativeCounterBatchEnvThrowsBeforeTheRun) {
   // Regression: FOURINDEX_COUNTER_BATCH=-4 used to warn and run the
   // whole transform with the default batch; the strict path raises
@@ -603,3 +622,185 @@ TEST(ParProperties, DistributedCStorageTracksExactPackedSize) {
     EXPECT_LT(r.stats.peak_global_bytes, 2.2 * exact_c + slices) << s;
   }
 }
+
+// ---- Pinned counters and modeled times --------------------------------
+//
+// Every distributed schedule's modeled outcome on one small molecule,
+// pinned exactly (counts, bytes, flops) or to 1e-12 relative (clock
+// sums, where an FMA-contracting build may round differently). A
+// refactor of the schedules that keeps the GA op sequence, the GEMM
+// call sequence and the charge points must reproduce these numbers.
+
+namespace {
+
+core::Problem pinned_problem() {
+  return core::make_problem(chem::custom_molecule("pin", 12, 2, 7));
+}
+
+core::ParOptions pinned_options(bool overlap, ga::Balance balance) {
+  core::ParOptions o;
+  o.tile = 4;
+  o.tile_l = 3;
+  o.overlap = overlap;
+  o.balance = balance;
+  return o;
+}
+
+core::ParStats run_pinned(const std::string& schedule, Cluster& cl,
+                          const core::ParOptions& o) {
+  const auto p = pinned_problem();
+  if (schedule == "unfused") return core::unfused_par_transform(p, cl, o).stats;
+  if (schedule == "fused") return core::fused_par_transform(p, cl, o).stats;
+  if (schedule == "fused-inner")
+    return core::fused_inner_par_transform(p, cl, o).stats;
+  if (schedule == "nwchem-unfused")
+    return core::nwchem_unfused_par_transform(p, cl, o).stats;
+  const auto bs = core::batch_member_bs(p, 2);
+  if (schedule == "batched-unfused")
+    return core::batched_unfused_par_transform(p, bs, cl, o).stats;
+  EXPECT_EQ(schedule, "batched-fused-inner");
+  return core::batched_fused_inner_par_transform(p, bs, cl, o).stats;
+}
+
+struct PinnedRun {
+  const char* schedule;
+  bool overlap;
+  ga::Balance balance;
+  // Exact.
+  double flops, integral_evals, remote_bytes, local_bytes,
+      peak_global_bytes;
+  std::size_t n_phases;
+  double sched_claims, ga_gets, ga_puts, ga_accs;
+  // Relative 1e-12.
+  double sim_time, overlapped_seconds, exposed_seconds;
+};
+
+// Fields in PinnedRun order: schedule, overlap, balance; flops,
+// integral_evals, remote_bytes, local_bytes, peak_global_bytes,
+// n_phases, sched_claims, ga.gets, ga.puts, ga.accs; sim_time,
+// overlapped_seconds, exposed_seconds.
+const PinnedRun kPinnedRuns[] = {
+    {"unfused", true, ga::Balance::Static,
+     917568, 8100, 611712, 982368, 168480, 5, 0, 1888, 572, 0,
+     0.00058438560000000095, 0.00042910560000000453, 0.001254392000000003},
+    {"unfused", true, ga::Balance::Auto,
+     917568, 8100, 617024, 977184, 168480, 5, 52, 1888, 572, 0,
+     0.00058586920000000087, 0.00043523520000000458, 0.0012865552000000029},
+    {"unfused", false, ga::Balance::Static,
+     917568, 8100, 611712, 982368, 168480, 5, 0, 1888, 572, 0,
+     0.00069030120000000239, 0, 0.0016539488000000069},
+    {"unfused", false, ga::Balance::Auto,
+     917568, 8100, 617024, 977184, 168480, 5, 52, 1888, 572, 0,
+     0.00068112520000000243, 0, 0.0016827424000000067},
+    {"fused", true, ga::Balance::Static,
+     1220832, 12960, 264384, 1975104, 101088, 20, 0, 2512, 736, 208,
+     0.00054379199999999965, 0.0002690495999999996, 0.00064750079999999969},
+    {"fused", true, ga::Balance::Auto,
+     1220832, 12960, 269952, 1969920, 101088, 20, 208, 2512, 736, 208,
+     0.00053453439999999973, 0.00029438079999999958, 0.00070855039999999955},
+    {"fused", false, ga::Balance::Static,
+     1220832, 12960, 264384, 1975104, 101088, 20, 0, 2512, 736, 208,
+     0.00059096639999999966, 0, 0.00086989439999999967},
+    {"fused", false, ga::Balance::Auto,
+     1220832, 12960, 269952, 1969920, 101088, 20, 208, 2512, 736, 208,
+     0.00058170879999999974, 0, 0.00093094399999999974},
+    {"fused-inner", true, ga::Balance::Static,
+     1220832, 12960, 51840, 497664, 85536, 12, 0, 320, 320, 208,
+     0.00040787520000000005, 3.1103999999999918e-05, 0.00015205759999999992},
+    {"fused-inner", true, ga::Balance::Auto,
+     1220832, 12960, 67456, 482112, 85536, 12, 40, 320, 320, 208,
+     0.00043773600000000009, 3.9527999999999958e-05, 0.00018969439999999994},
+    {"fused-inner", false, ga::Balance::Static,
+     1220832, 12960, 51840, 497664, 85536, 12, 0, 320, 320, 208,
+     0.00041642879999999999, 0, 0.00018160639999999985},
+    {"fused-inner", false, ga::Balance::Auto,
+     1220832, 12960, 67456, 482112, 85536, 12, 40, 320, 320, 208,
+     0.00045367679999999997, 0, 0.00022766719999999988},
+    {"nwchem-unfused", true, ga::Balance::Static,
+     917568, 8100, 611712, 982368, 370656, 5, 0, 1888, 572, 0,
+     0.00058438560000000095, 0.00042910560000000453, 0.001254392000000003},
+    {"nwchem-unfused", true, ga::Balance::Auto,
+     917568, 8100, 617024, 977184, 370656, 5, 52, 1888, 572, 0,
+     0.00058586920000000087, 0.00043523520000000458, 0.0012865552000000029},
+    {"nwchem-unfused", false, ga::Balance::Static,
+     917568, 8100, 611712, 982368, 370656, 5, 0, 1888, 572, 0,
+     0.00069030120000000239, 0, 0.0016539488000000069},
+    {"nwchem-unfused", false, ga::Balance::Auto,
+     917568, 8100, 617024, 977184, 370656, 5, 52, 1888, 572, 0,
+     0.00068112520000000243, 0, 0.0016827424000000067},
+    {"batched-unfused", true, ga::Balance::Static,
+     1835136, 8100, 1223424, 1899936, 233280, 9, 0, 3776, 1044, 0,
+     0.0011484564000000018, 0.0008519904000000092, 0.0025085248000000057},
+    {"batched-unfused", true, ga::Balance::Auto,
+     1835136, 8100, 1234048, 1889568, 233280, 9, 104, 3776, 1044, 0,
+     0.0011514236000000019, 0.00086424960000000919, 0.0025728512000000054},
+    {"batched-unfused", false, ga::Balance::Static,
+     1835136, 8100, 1223424, 1899936, 233280, 9, 0, 3776, 1044, 0,
+     0.0013587324000000046, 0, 0.0033014176000000137},
+    {"batched-unfused", false, ga::Balance::Auto,
+     1835136, 8100, 1234048, 1889568, 233280, 9, 104, 3776, 1044, 0,
+     0.0013403804000000049, 0, 0.0033590048000000138},
+    {"batched-fused-inner", true, ga::Balance::Static,
+     2441664, 12960, 103680, 891648, 119232, 20, 0, 640, 480, 416,
+     0.00078309120000000015, 5.2876799999999853e-05, 0.00030307839999999984},
+    {"batched-fused-inner", true, ga::Balance::Auto,
+     2441664, 12960, 134912, 860544, 119232, 20, 80, 640, 480, 416,
+     0.00084281280000000024, 6.9724799999999919e-05, 0.00037835199999999988},
+    {"batched-fused-inner", false, ga::Balance::Static,
+     2441664, 12960, 103680, 891648, 119232, 20, 0, 640, 480, 416,
+     0.00079786560000000002, 0, 0.00035284479999999967},
+    {"batched-fused-inner", false, ga::Balance::Auto,
+     2441664, 12960, 134912, 860544, 119232, 20, 80, 640, 480, 416,
+     0.0008723616000000002, 0, 0.00044496639999999979},
+};
+
+void expect_rel(double got, double want, const char* what,
+                const std::string& where) {
+  EXPECT_LE(std::abs(got - want), 1e-12 * std::abs(want))
+      << what << " " << where << ": got " << got << ", pinned " << want;
+}
+
+TEST(Pinned, SimulateCountersAndTimesMatchPinnedValues) {
+  for (const PinnedRun& pin : kPinnedRuns) {
+    const std::string where = std::string(pin.schedule) +
+                              (pin.overlap ? " overlap " : " blocking ") +
+                              ga::to_string(pin.balance);
+    Cluster cl(test_machine(2, 2), ExecutionMode::Simulate);
+    const auto s =
+        run_pinned(pin.schedule, cl, pinned_options(pin.overlap, pin.balance));
+    const auto& reg = cl.metrics();
+    EXPECT_EQ(s.flops, pin.flops) << where;
+    EXPECT_EQ(s.integral_evals, pin.integral_evals) << where;
+    EXPECT_EQ(s.remote_bytes, pin.remote_bytes) << where;
+    EXPECT_EQ(s.local_bytes, pin.local_bytes) << where;
+    EXPECT_EQ(s.peak_global_bytes, pin.peak_global_bytes) << where;
+    EXPECT_EQ(s.n_phases, pin.n_phases) << where;
+    EXPECT_EQ(s.sched_claims, pin.sched_claims) << where;
+    EXPECT_EQ(reg.sum("ga.gets"), pin.ga_gets) << where;
+    EXPECT_EQ(reg.sum("ga.puts"), pin.ga_puts) << where;
+    EXPECT_EQ(reg.sum("ga.accs"), pin.ga_accs) << where;
+    expect_rel(s.sim_time, pin.sim_time, "sim_time", where);
+    expect_rel(s.overlapped_seconds, pin.overlapped_seconds,
+               "overlapped_seconds", where);
+    expect_rel(s.exposed_seconds, pin.exposed_seconds, "exposed_seconds",
+               where);
+  }
+}
+
+TEST(Pinned, RealModeGemmCallsMatchPinnedValues) {
+  const std::pair<const char*, double> pins[] = {
+      {"unfused", 9472},
+      {"fused", 10576},
+      {"fused-inner", 2776},
+      {"nwchem-unfused", 9472},
+      {"batched-unfused", 18944},
+      {"batched-fused-inner", 5552},
+  };
+  for (const auto& [schedule, calls] : pins) {
+    Cluster cl(test_machine(2, 2), ExecutionMode::Real);
+    run_pinned(schedule, cl, pinned_options(true, ga::Balance::Static));
+    EXPECT_EQ(cl.metrics().sum("gemm.calls"), calls) << schedule;
+  }
+}
+
+}  // namespace
